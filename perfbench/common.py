@@ -211,6 +211,35 @@ def _pss_bytes(pid: int) -> int:
     return 0
 
 
+def _status_bytes(key: str) -> int:
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(key + ":"):
+                return int(line.split()[1]) * 1024
+    return 0
+
+
+def memory_baseline() -> dict:
+    """This process's memory now, and its peak-RSS mark reset to now
+    (``/proc/self/clear_refs``), so ``peak_rss_since`` later reads the
+    peak above this point.  ``reset`` is False where the kernel refuses
+    the reset; the old mark then still holds everything before."""
+    try:
+        with open("/proc/self/clear_refs", "w") as fh:
+            fh.write("5")
+        reset = True
+    except OSError:
+        reset = False
+    return {"pss": _pss_bytes(os.getpid()), "rss": _status_bytes("VmRSS"), "reset": reset}
+
+
+def peak_rss_since(baseline: dict) -> int:
+    """Peak RSS of this process above ``baseline`` (0 without a reset)."""
+    if not baseline["reset"]:
+        return 0
+    return max(_status_bytes("VmHWM") - baseline["rss"], 0)
+
+
 def tree_pss_bytes(root: int) -> int:
     """Summed PSS of ``root`` and all of its descendants."""
     total = 0

@@ -29,6 +29,19 @@ from tracer import Tracer  # noqa: E402
 
 UNITS = {"s", "MB", "ratio", "1/s", "GFLOP/s", "GB/s", "count"}
 
+#: Per-layer metrics of layers that run on each workload: a wrapper that
+#: stops firing, or a result field that stops being read, leaves them 0.
+#: ``shard.recovered``: the k != n product loses its shards on the
+#: current code, and the benchmark must show it.
+RUNS_ON = {
+    "pb_er": ("coerce.s", "expand.s", "distribute.s", "sort.s", "sort.calls",
+              "compress.s", "nnz_c", "tuples"),
+    "grid_rmat": ("shard.s", "shard.busy_s.max", "shard.broadcast_mb", "tile.count",
+                  "merge.s", "expand.s", "shard.recovered"),
+    "serve_mix": ("serve.encode_s", "serve.decode_s", "serve.compute_s.p50",
+                  "serve.wave_size.mean", "arena.leases", "pool.spawns"),
+}
+
 
 def _spec() -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -42,7 +55,7 @@ def _run(*args, cwd=ROOT, timeout=170):
 
 def _tiny(workload: str, trace: int, *extra) -> dict:
     out = _run("--workload", workload, "--seed", "3", "--seconds", "1",
-               "--trace", str(trace), "--size", "tiny", "--setup-samples", "2", *extra)
+               "--trace", str(trace), "--size", "tiny", *extra)
     assert out.returncode == 0, out.stderr[-2000:]
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
@@ -64,7 +77,10 @@ def test_tiny_run_emits_every_metric(workload, trace):
         got = metrics[m["name"]]
         assert got["unit"] == m["unit"] and m["unit"] in UNITS
         assert np.isfinite(got["value"])
-    if not trace:
+    if trace:
+        for name in RUNS_ON[workload]:
+            assert metrics[name]["value"] > 0, name
+    else:
         for m in wanted:  # end-to-end metrics are never 0
             assert metrics[m["name"]]["value"] > 0, m["name"]
 
@@ -85,6 +101,29 @@ def test_shard_recovery_is_counted():
     assert m["shard.useful_ratio"]["value"] == 0.5
     assert m["tile.count"]["value"] == 7
     assert m["shard.broadcast_mb"]["value"] == 2
+
+
+def _rate(latency_ms: float, rate: float) -> dict:
+    lat = [latency_ms / 1e3] * 50
+    return {"rate": rate, "latency_s": lat, "failed": 0, "backlog": [1, 2, 1],
+            "compute_s": [0.01] * 50, "flop": 1000}
+
+
+def test_max_rate_ok_drops_a_rung_when_queueing_grows_the_tail():
+    import run
+
+    res = {"counts": {"attempted": 150, "failed": 0},
+           "rates": {"low": _rate(20, 20.0), "mid": _rate(30, 40.0), "high": _rate(40, 60.0)}}
+    assert run.end_to_end("serve_mix", res, [1.0], 1)["max_rate_ok"]["value"] == 60
+    # The same growth on a uniformly slower machine stays within the limit.
+    slow = {n: _rate(3 * ms, r) for n, ms, r in (("low", 20, 20.0), ("mid", 30, 40.0),
+                                                 ("high", 40, 60.0))}
+    assert run.end_to_end("serve_mix", dict(res, rates=slow), [1.0], 1)[
+        "max_rate_ok"]["value"] == 60
+    res["rates"]["high"] = _rate(20 * run.TAIL_GROWTH_LIMIT * 1.5, 60.0)
+    assert run.end_to_end("serve_mix", res, [1.0], 1)["max_rate_ok"]["value"] == 40
+    res["rates"]["mid"]["backlog"] = [9, 9, 9]  # > 40 req/s x limit: growing
+    assert run.end_to_end("serve_mix", res, [1.0], 1)["max_rate_ok"]["value"] == 20
 
 
 @pytest.mark.parametrize("workload", ["pb_er", "serve_mix"])

@@ -32,7 +32,7 @@ SIZES = {
     "full": {
         # 2^13 x 2^13 ER, 16 nnz/row: flop ~2.1 M, compression ~1.01,
         # expanded stream ~34 MB (8x the 4 MiB L2 of a core).
-        "er_scale": 13, "er_nnz": 16, "er_instances": 1,
+        "er_scale": 13, "er_nnz": 16,
         # R-MAT scale 12, edge factor 8: flop ~2.3 M, compression ~2.
         # 16 MiB per shard plans 2 shards x 7 column panels (square).
         "rmat_scale": 12, "rmat_ef": 8, "budget_mib": 16, "rmat_instances": 4,
@@ -40,7 +40,7 @@ SIZES = {
         "serve_scales": (6, 7, 8, 9), "serve_nnz": (4, 5, 6, 8),
     },
     "tiny": {
-        "er_scale": 9, "er_nnz": 8, "er_instances": 1,
+        "er_scale": 9, "er_nnz": 8,
         "rmat_scale": 9, "rmat_ef": 8, "budget_mib": 1, "rmat_instances": 2,
         "serve_scales": (5, 6), "serve_nnz": (2, 4),
     },
@@ -133,30 +133,45 @@ def _oracle(a, b):
     return scipy_spgemm_oracle(_csr(a).to_csc(), _csr(b))
 
 
-def compute_inputs(workload: str, seed: int, size: dict) -> dict:
-    """Operands, reference products and flop of each op instance.
+def _instance(pairs) -> dict:
+    """Operands, reference products and flop of one op: a list of
+    (A, B) products."""
+    return {
+        "operands": [(_csr(x), _csr(y)) for x, y in pairs],
+        "refs": [_oracle(x, y) for x, y in pairs],
+        "flop": sum(common.flop_count(x, y) for x, y in pairs),
+    }
 
-    ``pb_er`` has one instance; ``grid_rmat`` cycles over several R-MAT
-    instances, so a run's op time does not hinge on one sampled degree
-    distribution.  Each instance is two products: A·A and A·A[:, S]
-    with S a seeded quarter of the columns (k != n)."""
-    rng = np.random.default_rng([seed, 0 if workload == "pb_er" else 1])
+
+def compute_inputs(workload: str, seed: int, size: dict) -> list:
+    """The op instances of a compute workload.
+
+    ``pb_er`` has one instance, A·A.  ``grid_rmat`` cycles over several
+    R-MAT instances, so a run's op time does not hinge on one sampled
+    degree distribution.  Each is two products: A·A and A·A[:, S] with
+    S a seeded quarter of the columns (k != n)."""
+    if workload == "pb_er":
+        rng = np.random.default_rng([seed, 0])
+        a = common.er_scipy(1 << size["er_scale"], size["er_nnz"], rng)
+        return [_instance([(a, a)])]
+    rng = np.random.default_rng([seed, 1])
     instances = []
-    for _ in range(size["er_instances"] if workload == "pb_er" else size["rmat_instances"]):
-        if workload == "pb_er":
-            a = common.er_scipy(1 << size["er_scale"], size["er_nnz"], rng)
-            pairs = [(a, a)]
-        else:
-            a = common.rmat_scipy(size["rmat_scale"], size["rmat_ef"], rng)
-            n = a.shape[1]
-            cols = np.sort(rng.choice(n, size=n // 4, replace=False))
-            pairs = [(a, a), (a, a[:, cols].tocsr())]
-        instances.append({
-            "operands": [(_csr(x), _csr(y)) for x, y in pairs],
-            "refs": [_oracle(x, y) for x, y in pairs],
-            "flop": sum(common.flop_count(x, y) for x, y in pairs),
-        })
+    for _ in range(size["rmat_instances"]):
+        a = common.rmat_scipy(size["rmat_scale"], size["rmat_ef"], rng)
+        n = a.shape[1]
+        cols = np.sort(rng.choice(n, size=n // 4, replace=False))
+        instances.append(_instance([(a, a), (a, a[:, cols].tocsr())]))
     return instances
+
+
+def memory_baseline() -> dict:
+    """Mark the start of the measured memory: the inputs and reference
+    products are resident, no op has run.  ``run.py`` restarts its
+    process-tree peak when it reads the ``BASELINE`` line, so
+    ``peak_rss_mb`` leaves out the benchmark's own data."""
+    base = common.memory_baseline()
+    print("BASELINE", flush=True)
+    return base
 
 
 def serve_inputs(seed: int, size: dict) -> dict:
@@ -244,9 +259,11 @@ def run_compute(args, size) -> dict:
     instances = compute_inputs(args.workload, args.seed, size)
     op = _compute_op(args.workload, nproc, size["budget_mib"] << 20)
     counts = Counts()
-    # Untimed ops first: lazy imports and first-touch allocations.
-    closed_loop(op, instances[:1], 0.0, Counts())
-    out = {"flop": [x["flop"] for x in instances], "nproc": nproc}
+    out = {"flop": [x["flop"] for x in instances], "nproc": nproc,
+           "mem_baseline": memory_baseline()}
+    # Untimed ops first: lazy imports and first-touch allocations.  Their
+    # products are checked and counted like every other.
+    closed_loop(op, instances[:1], 0.0, counts)
     if args.trace:
         from tracer import Tracer
 
@@ -475,7 +492,7 @@ async def open_loop(client, inputs, rate, seconds, rng, counts, tracer=None,
         "offered": int(offsets.size),
         "latency_s": latencies,
         "failed": failed_here + len(pending),
-        "backlog": backlog,
+        "backlog": [backlog],
         "lag_s": [r["lag"] for r in results],
         "queue_wait_s": [r["timings"].get("queue_wait_s", 0.0) for r in ok],
         "wave_s": [r["timings"].get("wave_s", 0.0) for r in ok],
@@ -492,8 +509,6 @@ def _merge(total: dict | None, part: dict) -> dict:
     for key, value in part.items():
         if isinstance(value, list):
             total[key].extend(value)
-        elif key == "backlog":
-            total[key] = max(total[key], value)
         elif key != "rate":
             total[key] += value
     return total
@@ -511,6 +526,7 @@ async def run_serve(args, size, server) -> dict:
     # it by a third of its value from run to run.
     rng = np.random.default_rng(ARRIVAL_SEED)
     counts = Counts()
+    baseline = memory_baseline()
     # (key, rate, traced).  The traced run adds an untraced window at
     # the mid rate, the base of trace.overhead_frac.
     plan = [(name, rate, bool(args.trace)) for name, rate in RATES.items()]
@@ -532,9 +548,13 @@ async def run_serve(args, size, server) -> dict:
     for i in range(SERVER_INSTANCES):
         proc, client = server if i == 0 else await serve_setup(nproc)
         try:
-            # Untimed warm-up: every request shape once, sequentially.
-            for a, b in inputs["operands"]:
-                await client.multiply(a, b)
+            # Untimed warm-up: every request shape once, sequentially,
+            # each reply checked and counted like every other.
+            for (a, b), ref in zip(inputs["operands"], inputs["refs"]):
+                counts.attempted += 1
+                if not common.product_matches((await client.multiply(a, b)).c, ref):
+                    counts.failed += 1
+                    counts.mismatched += 1
             for _ in range(rounds):
                 for key, rate, traced in plan:
                     if traced:
@@ -553,7 +573,8 @@ async def run_serve(args, size, server) -> dict:
             await serve_teardown(proc, client)
     out = {"nproc": nproc, "servers": SERVER_INSTANCES, "rounds": rounds,
            "window_s": window, "mid_untraced": results.pop("mid_untraced", None),
-           "rates": results, "server_stats": stats, "counts": counts.to_dict()}
+           "rates": results, "server_stats": stats, "counts": counts.to_dict(),
+           "mem_baseline": baseline}
     if tracer is not None:
         selfs = tracer.self_seconds()
         out["layers"] = {
@@ -604,10 +625,8 @@ def main(argv=None) -> int:
     if result is None:
         return 0
 
-    import resource
-
     result["jit"] = jit.jit_status()
-    result["self_maxrss_bytes"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    result["self_peak_above_baseline_bytes"] = common.peak_rss_since(result["mem_baseline"])
     print(json.dumps(result), flush=True)
     return 0
 
