@@ -41,7 +41,7 @@ RATE_NAMES = ("low", "mid", "high")
 
 #: serve_mix latency limit of ``max_rate_ok``, as a multiple of the same
 #: run's median latency at ``low``, where a request almost never waits
-#: for another.  The tail at ``high`` measured 3-7.5x that median, on a
+#: for another.  The tail at ``high`` measured 3-7.4x that median, on a
 #: quiet and on a 3x slowed machine alike (README), so the limit is
 #: crossed when queueing, not the machine's speed, grows the tail.
 TAIL_GROWTH_LIMIT = 8.0
